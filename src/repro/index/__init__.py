@@ -13,14 +13,11 @@ from repro.index.base import QueryResult, SpatialIndex
 from repro.index.rtree import STRTree
 from repro.index.flat import FlatIndex
 from repro.index.gridindex import GridIndex
-from repro.index.scalar_ref import ScalarFlatIndex, ScalarSTRTree
 
 __all__ = [
     "FlatIndex",
     "GridIndex",
     "QueryResult",
     "STRTree",
-    "ScalarFlatIndex",
-    "ScalarSTRTree",
     "SpatialIndex",
 ]

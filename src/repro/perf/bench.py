@@ -49,8 +49,7 @@ trajectory alongside its correctness tests.  Nine suites:
   stepping), gated by the ``serving_daemon_qps`` budget floor.
 
 Every suite compares against the scalar reference implementations kept
-in :mod:`repro.index.scalar_ref` and
-:func:`repro.graph.traversal.region_crossings_reference`, so the
+in :mod:`repro.perf.baseline`, so the
 recorded speedups measure the vectorized hot path against the
 pre-change baseline on the same machine and the same run.
 
@@ -76,9 +75,9 @@ from repro.baselines import EWMAPrefetcher
 from repro.core import ScoutConfig, ScoutPrefetcher
 from repro.datagen import make_neuron_tissue
 from repro.geometry.aabb import AABB
-from repro.graph.traversal import region_crossings, region_crossings_reference
+from repro.graph.traversal import region_crossings
 from repro.index import FlatIndex, GridIndex, STRTree
-from repro.index.scalar_ref import ScalarFlatIndex
+from repro.perf.baseline import ScalarFlatIndex, region_crossings_reference
 from repro.sim import run_experiment
 from repro.sim.engine import SimulationConfig
 from repro.sim.serve import ServingSimulator

@@ -1,6 +1,6 @@
 """Parameter sweeps for the paper's evaluation grids (Figs 10-13, 17).
 
-Three families of declarative grids live here:
+Four families of declarative grids live here:
 
 * the **microbenchmark grids** -- :func:`fig10_matrix` (the Figure-10
   workload registry under one prefetcher), :func:`fig11_matrix` (the
@@ -20,24 +20,28 @@ Three families of declarative grids live here:
   mesh, arterial tree, road network) with the standard prefetcher set,
   one panel per query-size regime (small / large, sized as fractions of
   each dataset's volume);
-* the **client-scaling grid** (serving layer, DESIGN.md §6 -- an
-  extension beyond the paper): :func:`clients_matrix` crosses client
-  counts with prefetchers and shared-cache sizes, each cell a
-  multi-client :class:`~repro.sim.serve.ServingSimulator` run over one
-  shared cache and disk.
+* the **serving grids** (extensions beyond the paper, DESIGN.md §6-§10):
+  :func:`clients_matrix`, :func:`chaos_matrix`, :func:`tiers_matrix`
+  and :func:`shards_matrix` run multi-client
+  :class:`~repro.sim.serve.ServingSimulator` cells over one shared
+  cache and disk, each sweeping one layer (cache size, fault rate, tier
+  miss path, shard count) on the shared cell builder.
 
-All builders return pure-data :class:`~repro.sim.ExperimentMatrix`
-values (Fig 17 and the clients grid return cell lists, because their
-cells vary per-dataset query volumes or per-cell serving parameters);
-run them with :class:`~repro.sim.ParallelRunner` (cells are keyed by
-content hash, so repeated runs resume from the store).
+All builders return pure data -- :class:`~repro.sim.ExperimentMatrix`
+values, or cell lists where cells vary per-dataset query volumes or
+per-cell serving parameters; run them with
+:class:`~repro.sim.ParallelRunner` (cells are keyed by content hash, so
+repeated runs resume from the store).  :data:`FIGURES` registers every
+grid behind ``scout-repro sweep --figure``: one :class:`Figure` entry
+per grid declares its seed, flags, groups, axis labels and tables.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.workload.benchmarks import MICROBENCHMARKS, microbenchmark_names
 
@@ -48,21 +52,20 @@ __all__ = [
     "FIG13_PANELS",
     "FIG17_DATASET_PARAMS",
     "FIG17_PANELS",
-    "FIGURE_MATRICES",
+    "FIGURES",
     "SENSITIVITY_DEFAULTS",
     "SERVE_CACHE_PAGES",
     "SERVE_CLIENTS",
-    "SERVE_CLIENTS_LARGE",
     "SERVE_PREFETCHERS",
     "SHARD_CLIENTS",
     "SHARD_COUNTS",
     "SHARD_PARTITIONS",
     "TIER_MISS_PATHS",
     "TIER_SIZES",
+    "Figure",
     "SweepDefaults",
-    "chaos_breaker_of",
+    "Table",
     "chaos_matrix",
-    "chaos_rate_of",
     "clients_matrix",
     "fig10_matrix",
     "fig11_matrix",
@@ -70,19 +73,13 @@ __all__ = [
     "fig13_axes",
     "fig13_axis_value",
     "fig13_matrix",
-    "fig17_dataset_of",
     "fig17_matrix",
     "fig17_query_volume",
     "microbenchmark_of",
     "scale_factor",
     "serve_cache_label",
-    "serve_clients_of",
-    "shards_k_of",
     "shards_matrix",
-    "shards_partition_of",
     "tiers_matrix",
-    "tiers_path_of",
-    "tiers_size_of",
 ]
 
 
@@ -148,6 +145,15 @@ FIG13_PANELS: dict[str, tuple[str, str]] = {
 }
 
 
+def _fig13_panel_axis(panel: str) -> list:
+    """The paper's tick values of one Fig-13 panel (ValueError if unknown)."""
+    if panel not in FIG13_PANELS:
+        raise ValueError(
+            f"unknown panel {panel!r} for Fig 13 (expected {', '.join(FIG13_PANELS)})"
+        )
+    return fig13_axes()[FIG13_PANELS[panel][0]]
+
+
 def fig13_matrix(
     panel: str,
     *,
@@ -184,11 +190,8 @@ def fig13_matrix(
         WorkloadSpec,
     )
 
-    if panel not in FIG13_PANELS:
-        known = ", ".join(sorted(FIG13_PANELS))
-        raise ValueError(f"unknown Fig-13 panel {panel!r}; known: {known}")
-    axis_key, _ = FIG13_PANELS[panel]
-    values = list(fig13_axes()[axis_key] if axis is None else axis)
+    paper_axis = _fig13_panel_axis(panel)
+    values = list(paper_axis if axis is None else axis)
     if not values:
         raise ValueError(f"panel {panel!r} axis must not be empty")
     n_neurons = defaults.n_neurons if n_neurons is None else int(n_neurons)
@@ -263,13 +266,18 @@ def _microbenchmark_matrix(
     benches: Sequence[str],
     prefetchers: Sequence[tuple[str, Mapping[str, Any]]],
     *,
-    n_neurons: int | None,
-    n_sequences: int | None,
-    dataset_seed: int,
-    workload_seed: int,
-    fanout: int,
-    defaults: SweepDefaults,
+    n_neurons: int | None = None,
+    n_sequences: int | None = None,
+    dataset_seed: int = 7,
+    workload_seed: int = 11,
+    fanout: int = 16,
+    defaults: SweepDefaults = SENSITIVITY_DEFAULTS,
 ):
+    """``benches`` x ``prefetchers`` on one neuron tissue.
+
+    The keyword arguments are the knobs every ``figN_matrix`` builder
+    of this family forwards.
+    """
     # Imported here: repro.sim.runner imports repro.workload.sequence,
     # so a module-level import would be circular through repro.sim.
     from repro.sim.runner import (
@@ -312,89 +320,54 @@ def fig10_matrix(
     *,
     benches: Sequence[str] | None = None,
     prefetchers: Sequence[tuple[str, Mapping[str, Any]]] = (("scout", {}),),
-    n_neurons: int | None = None,
-    n_sequences: int | None = None,
-    dataset_seed: int = 7,
     workload_seed: int = 11,
-    fanout: int = 16,
-    defaults: SweepDefaults = SENSITIVITY_DEFAULTS,
+    **knobs: Any,
 ):
     """The full Figure-10 microbenchmark registry as one matrix.
 
     All seven workload rows (ad-hoc, model building, visualization with
     and without gaps) under a single prefetcher -- the grid behind the
     paper's headline SCOUT numbers, and the cheapest whole-registry
-    smoke sweep.  ``benches`` restricts the rows (e.g. for CI slices).
+    smoke sweep.  ``benches`` restricts the rows (e.g. for CI slices);
+    ``knobs`` (``n_neurons``, ``n_sequences``, ``dataset_seed``,
+    ``fanout``, ``defaults``) size the tissue and the sequences.
     """
     benches = microbenchmark_names() if benches is None else list(benches)
-    return _microbenchmark_matrix(
-        benches,
-        prefetchers,
-        n_neurons=n_neurons,
-        n_sequences=n_sequences,
-        dataset_seed=dataset_seed,
-        workload_seed=workload_seed,
-        fanout=fanout,
-        defaults=defaults,
-    )
+    return _microbenchmark_matrix(benches, prefetchers, workload_seed=workload_seed, **knobs)
 
 
 def fig11_matrix(
     *,
     benches: Sequence[str] | None = None,
     prefetchers: Sequence[tuple[str, Mapping[str, Any]]] = FIG11_PREFETCHERS,
-    n_neurons: int | None = None,
-    n_sequences: int | None = None,
-    dataset_seed: int = 7,
     workload_seed: int = 11,
-    fanout: int = 16,
-    defaults: SweepDefaults = SENSITIVITY_DEFAULTS,
+    **knobs: Any,
 ):
     """Figure 11: the no-gap microbenchmarks x the standard prefetchers.
 
     Matches the direct harness in ``benchmarks/test_fig11_microbenchmarks.py``
     (workload seed 11) cell for cell; the declarative form adds resume,
-    sharding and fault tolerance on top.
+    sharding and fault tolerance on top.  ``knobs`` as in
+    :func:`fig10_matrix`.
     """
     benches = microbenchmark_names(with_gaps=False) if benches is None else list(benches)
-    return _microbenchmark_matrix(
-        benches,
-        prefetchers,
-        n_neurons=n_neurons,
-        n_sequences=n_sequences,
-        dataset_seed=dataset_seed,
-        workload_seed=workload_seed,
-        fanout=fanout,
-        defaults=defaults,
-    )
+    return _microbenchmark_matrix(benches, prefetchers, workload_seed=workload_seed, **knobs)
 
 
 def fig12_matrix(
     *,
     benches: Sequence[str] | None = None,
     prefetchers: Sequence[tuple[str, Mapping[str, Any]]] = FIG12_PREFETCHERS,
-    n_neurons: int | None = None,
-    n_sequences: int | None = None,
-    dataset_seed: int = 7,
     workload_seed: int = 12,
-    fanout: int = 16,
-    defaults: SweepDefaults = SENSITIVITY_DEFAULTS,
+    **knobs: Any,
 ):
     """Figure 12: the with-gap microbenchmarks, with SCOUT-OPT added.
 
     Matches ``benchmarks/test_fig12_gaps.py`` (workload seed 12).
+    ``knobs`` as in :func:`fig10_matrix`.
     """
     benches = microbenchmark_names(with_gaps=True) if benches is None else list(benches)
-    return _microbenchmark_matrix(
-        benches,
-        prefetchers,
-        n_neurons=n_neurons,
-        n_sequences=n_sequences,
-        dataset_seed=dataset_seed,
-        workload_seed=workload_seed,
-        fanout=fanout,
-        defaults=defaults,
-    )
+    return _microbenchmark_matrix(benches, prefetchers, workload_seed=workload_seed, **knobs)
 
 
 # -- the Fig-17 applicability grid --------------------------------------------------
@@ -473,8 +446,9 @@ def fig17_matrix(
     )
 
     if panel not in FIG17_PANELS:
-        known = ", ".join(sorted(FIG17_PANELS))
-        raise ValueError(f"unknown Fig-17 panel {panel!r}; known: {known}")
+        raise ValueError(
+            f"unknown panel {panel!r} for Fig 17 (expected {', '.join(FIG17_PANELS)})"
+        )
     regime, _ = FIG17_PANELS[panel]
     dataset_params = FIG17_DATASET_PARAMS if datasets is None else datasets
     if not dataset_params:
@@ -506,12 +480,7 @@ def fig17_matrix(
     return cells
 
 
-def fig17_dataset_of(spec: Mapping[str, Any]) -> str:
-    """The dataset column a Fig-17 cell-spec dict belongs to."""
-    return spec["dataset"]["kind"]
-
-
-# -- the client-scaling serving grid ------------------------------------------------
+# -- the serving grids --------------------------------------------------------------
 
 #: Concurrent-client counts of the serving sweep's x-axis.
 SERVE_CLIENTS: tuple[int, ...] = (1, 2, 4, 8, 16)
@@ -527,96 +496,6 @@ SERVE_PREFETCHERS: tuple[tuple[str, dict], ...] = (
 #: heavy contention -- every client fights for the same few pages).
 SERVE_CACHE_PAGES: tuple[int | None, ...] = (None, 128)
 
-#: Large-fleet client counts for the lockstep serving plane (run with
-#: ``--lockstep``; the round-robin reference is impractically slow past
-#: a few hundred clients, and the schedulers are proven bit-identical).
-SERVE_CLIENTS_LARGE: tuple[int, ...] = (64, 256, 1024)
-
-
-def clients_matrix(
-    *,
-    clients: Sequence[int] = SERVE_CLIENTS,
-    prefetchers: Sequence[tuple[str, Mapping[str, Any]]] = SERVE_PREFETCHERS,
-    cache_pages: Sequence[int | None] = SERVE_CACHE_PAGES,
-    mode: str = "independent",
-    stagger: int = 1,
-    n_neurons: int = 40,
-    n_queries: int | None = None,
-    volume: float | None = None,
-    dataset_seed: int = 7,
-    workload_seed: int = 21,
-    fanout: int = 16,
-    defaults: SweepDefaults = SENSITIVITY_DEFAULTS,
-) -> list:
-    """The client-scaling serving grid: clients x prefetchers x cache sizes.
-
-    Every cell is a multi-client serving run (``serve`` mapping on the
-    spec): N concurrent sessions round-robin over one shared prefetch
-    cache and disk, client ``i`` joining ``stagger`` ticks after client
-    ``i-1``.  ``mode`` picks the contention regime of
-    :func:`repro.workload.multiclient.multiclient_sessions`
-    (``independent`` walks vs Zipf-skewed ``hotspot`` sharing).  Cells
-    order cache-size-major (then prefetcher, then client count) so each
-    cache size renders as one table.  Returns a flat cell list, like
-    :func:`fig17_matrix`, because the serving parameters vary per cell.
-    """
-    # Imported here: repro.sim.runner imports repro.workload.sequence,
-    # so a module-level import would be circular through repro.sim.
-    from repro.sim.runner import (
-        CellSpec,
-        DatasetSpec,
-        IndexSpec,
-        PrefetcherSpec,
-        WorkloadSpec,
-    )
-
-    client_counts = [int(n) for n in clients]
-    if not client_counts or any(n < 1 for n in client_counts):
-        raise ValueError(f"clients must be positive ints, got {list(clients)!r}")
-    n_queries = defaults.n_queries if n_queries is None else int(n_queries)
-    volume = defaults.volume if volume is None else float(volume)
-
-    dataset = DatasetSpec("neuron", {"n_neurons": int(n_neurons), "seed": dataset_seed})
-    index = IndexSpec("flat", {"fanout": fanout})
-    cells: list = []
-    for capacity in cache_pages:
-        sim = {} if capacity is None else {"cache_capacity_pages": int(capacity)}
-        for kind, params in prefetchers:
-            for n in client_counts:
-                cells.append(
-                    CellSpec(
-                        dataset=dataset,
-                        index=index,
-                        workload=WorkloadSpec(
-                            n_sequences=n,  # one session per client
-                            n_queries=n_queries,
-                            volume=volume,
-                            gap=defaults.gap,
-                            aspect=defaults.aspect,
-                            window_ratio=defaults.window_ratio,
-                        ),
-                        prefetcher=PrefetcherSpec(kind, dict(params)),
-                        seed=workload_seed,
-                        sim=sim,
-                        serve={"n_clients": n, "mode": mode, "stagger": int(stagger)},
-                    )
-                )
-    return cells
-
-
-def serve_clients_of(spec: Mapping[str, Any]) -> int:
-    """The client-count column a serving cell-spec dict belongs to."""
-    return int(spec["serve"]["n_clients"])
-
-
-def serve_cache_label(spec: Mapping[str, Any]) -> str:
-    """Human label of a serving cell's shared-cache size ("auto" or pages)."""
-    capacity = spec.get("sim", {}).get("cache_capacity_pages")
-    return "auto" if capacity is None else f"{int(capacity)} pages"
-
-
-# -- the chaos (fault-injection) serving grid ---------------------------------------
-
 #: Fault intensities of the chaos sweep's x-axis: the headline
 #: ``transient_rate``; corrupt and latency-spike rates ride at half of
 #: it.  0.0 keeps the fault layer active but silent -- the degradation
@@ -628,6 +507,147 @@ def serve_cache_label(spec: Mapping[str, Any]) -> str:
 #: keep.
 CHAOS_RATES: tuple[float, ...] = (0.0, 0.2, 0.5, 0.7)
 
+#: Miss-path mechanisms of the tiers sweep's x-axis (the SimpleScalar
+#: taxonomy: victim cache, miss cache, stream buffer, all combined);
+#: ``none`` is the tier-cache-only baseline each mechanism is read
+#: against.
+TIER_MISS_PATHS: tuple[str, ...] = ("none", "victim", "miss", "stream", "combined")
+
+#: Storage-side tier-cache capacities swept, in pages.  The small tier
+#: thrashes, so the miss-path mechanisms decide what survives below it;
+#: the large tier shows how much of their win capacity alone buys.
+TIER_SIZES: tuple[int, ...] = (8, 64)
+
+#: Shard counts of the shards sweep: the unsharded baseline (a K=1
+#: pass-through wrapper, bit-identical to no sharding) against a small
+#: multi-node layout.
+SHARD_COUNTS: tuple[int, ...] = (1, 4)
+
+#: Partitioning schemes swept: Hilbert range splits (spatially
+#: clustered clients land on few shards) vs hash scatter (uniform but
+#: locality-blind, every batch fans out).
+SHARD_PARTITIONS: tuple[str, ...] = ("hilbert", "hash")
+
+#: Client counts of the shards sweep (hotspot mode, so load skews).
+SHARD_CLIENTS: tuple[int, ...] = (4, 8)
+
+#: One point of a serving grid: (client count, (prefetcher kind,
+#: params), CellSpec layer fields such as ``sim``/``faults``/``storage``/
+#: ``shards``).
+_ServingPoint = tuple[int, tuple[str, Mapping[str, Any]], Mapping[str, Any]]
+
+
+def _serving_cells(
+    points: Iterable[_ServingPoint],
+    *,
+    mode: str,
+    stagger: int = 1,
+    n_neurons: int = 40,
+    n_queries: int | None = None,
+    volume: float | None = None,
+    dataset_seed: int = 7,
+    workload_seed: int = 21,
+    fanout: int = 16,
+    defaults: SweepDefaults = SENSITIVITY_DEFAULTS,
+) -> list:
+    """The shared cell builder of every serving grid, one cell per point.
+
+    Each cell is a multi-client serving run (``serve`` mapping on the
+    spec): ``n_clients`` concurrent sessions, one sequence each, over
+    one shared prefetch cache and disk of an ``n_neurons`` tissue,
+    client ``i`` joining ``stagger`` ticks after client ``i-1``;
+    ``mode`` picks the contention regime of
+    :func:`repro.workload.multiclient.multiclient_sessions`
+    (``independent`` walks vs Zipf-skewed ``hotspot`` sharing).  The
+    point's layer fields are the one layer a grid sweeps.  The keyword
+    arguments after ``mode`` are the ``serving`` knobs every serving
+    matrix builder forwards.
+    """
+    # Imported here: repro.sim.runner imports repro.workload.sequence,
+    # so a module-level import would be circular through repro.sim.
+    from repro.sim.runner import (
+        CellSpec,
+        DatasetSpec,
+        IndexSpec,
+        PrefetcherSpec,
+        WorkloadSpec,
+    )
+
+    n_queries = defaults.n_queries if n_queries is None else int(n_queries)
+    volume = defaults.volume if volume is None else float(volume)
+    dataset = DatasetSpec("neuron", {"n_neurons": int(n_neurons), "seed": dataset_seed})
+    index = IndexSpec("flat", {"fanout": fanout})
+    return [
+        CellSpec(
+            dataset=dataset,
+            index=index,
+            workload=WorkloadSpec(
+                n_sequences=n_clients,  # one session per client
+                n_queries=n_queries,
+                volume=volume,
+                gap=defaults.gap,
+                aspect=defaults.aspect,
+                window_ratio=defaults.window_ratio,
+            ),
+            prefetcher=PrefetcherSpec(kind, dict(params)),
+            seed=workload_seed,
+            serve={"n_clients": n_clients, "mode": mode, "stagger": int(stagger)},
+            **layers,
+        )
+        for n_clients, (kind, params), layers in points
+    ]
+
+
+def _positive_ints(name: str, values: Sequence[Any]) -> list[int]:
+    ints = [int(v) for v in values]
+    if not ints or any(v < 1 for v in ints):
+        raise ValueError(f"{name} must be positive ints, got {list(values)!r}")
+    return ints
+
+
+def _drawn_from(name: str, values: Sequence[Any], allowed: Sequence[str]) -> list[str]:
+    chosen = [str(v) for v in values]
+    if not chosen or set(chosen) - set(allowed):
+        raise ValueError(f"{name} must be drawn from {list(allowed)}, got {list(values)!r}")
+    return chosen
+
+
+def clients_matrix(
+    *,
+    clients: Sequence[int] = SERVE_CLIENTS,
+    prefetchers: Sequence[tuple[str, Mapping[str, Any]]] = SERVE_PREFETCHERS,
+    cache_pages: Sequence[int | None] = SERVE_CACHE_PAGES,
+    mode: str = "independent",
+    **serving: Any,
+) -> list:
+    """The client-scaling serving grid: clients x prefetchers x cache sizes.
+
+    Cells order cache-size-major (then prefetcher, then client count)
+    so each cache size renders as one table.  ``serving`` takes the
+    shared knobs of :func:`_serving_cells` (``stagger``, ``n_neurons``,
+    ``n_queries``, ``volume``, seeds, ``fanout``, ``defaults``).
+    """
+    client_counts = _positive_ints("clients", clients)
+    sizes = list(cache_pages)
+    if not sizes or any(size is not None and int(size) < 1 for size in sizes):
+        raise ValueError(f"cache_pages must be positive ints or None, got {sizes!r}")
+    return _serving_cells(
+        (
+            (n, prefetcher, {"sim": {} if size is None else {"cache_capacity_pages": int(size)}})
+            for size in sizes
+            for prefetcher in prefetchers
+            for n in client_counts
+        ),
+        mode=mode,
+        **serving,
+    )
+
+
+def serve_cache_label(spec: Mapping[str, Any]) -> str:
+    """Human label of a serving cell's shared-cache size ("auto" or pages)."""
+    capacity = spec.get("sim", {}).get("cache_capacity_pages")
+    return "auto" if capacity is None else f"{int(capacity)} pages"
+
 
 def chaos_matrix(
     *,
@@ -635,16 +655,9 @@ def chaos_matrix(
     prefetchers: Sequence[tuple[str, Mapping[str, Any]]] = SERVE_PREFETCHERS,
     breakers: Sequence[bool] = (True, False),
     n_clients: int = 4,
-    mode: str = "hotspot",
-    stagger: int = 1,
-    n_neurons: int = 40,
-    n_queries: int | None = None,
-    volume: float | None = None,
-    dataset_seed: int = 7,
-    workload_seed: int = 21,
     fault_seed: int = 11,
-    fanout: int = 16,
-    defaults: SweepDefaults = SENSITIVITY_DEFAULTS,
+    mode: str = "hotspot",
+    **serving: Any,
 ) -> list:
     """The graceful-degradation grid: fault rate x prefetcher x breaker.
 
@@ -660,80 +673,34 @@ def chaos_matrix(
     Cells order breaker-major (then prefetcher, then rate) so each
     breaker setting renders as one table.  Rate 0.0 cells carry the
     (inactive) fault plan too, pinning the wrapper's no-op overhead
-    into the same store.
+    into the same store.  ``serving`` as in :func:`clients_matrix`.
     """
-    from repro.sim.runner import (
-        CellSpec,
-        DatasetSpec,
-        IndexSpec,
-        PrefetcherSpec,
-        WorkloadSpec,
-    )
-
     fault_rates = [float(r) for r in rates]
     if not fault_rates or any(not 0.0 <= r <= 1.0 for r in fault_rates):
         raise ValueError(f"rates must be fractions in [0, 1], got {list(rates)!r}")
-    n_clients = int(n_clients)
-    if n_clients < 1:
-        raise ValueError(f"n_clients must be positive, got {n_clients}")
-    n_queries = defaults.n_queries if n_queries is None else int(n_queries)
-    volume = defaults.volume if volume is None else float(volume)
-
-    dataset = DatasetSpec("neuron", {"n_neurons": int(n_neurons), "seed": dataset_seed})
-    index = IndexSpec("flat", {"fanout": fanout})
-    cells: list = []
-    for breaker in breakers:
-        for kind, params in prefetchers:
-            for rate in fault_rates:
-                cells.append(
-                    CellSpec(
-                        dataset=dataset,
-                        index=index,
-                        workload=WorkloadSpec(
-                            n_sequences=n_clients,  # one session per client
-                            n_queries=n_queries,
-                            volume=volume,
-                            gap=defaults.gap,
-                            aspect=defaults.aspect,
-                            window_ratio=defaults.window_ratio,
-                        ),
-                        prefetcher=PrefetcherSpec(kind, dict(params)),
-                        seed=workload_seed,
-                        serve={"n_clients": n_clients, "mode": mode, "stagger": int(stagger)},
-                        faults={
-                            "transient_rate": rate,
-                            "corrupt_rate": rate / 2.0,
-                            "latency_rate": rate / 2.0,
-                            "seed": int(fault_seed),
-                            "breaker": bool(breaker),
-                        },
-                    )
-                )
-    return cells
-
-
-def chaos_rate_of(spec: Mapping[str, Any]) -> float:
-    """The fault-rate column a chaos cell-spec dict belongs to."""
-    return float(spec["faults"]["transient_rate"])
-
-
-def chaos_breaker_of(spec: Mapping[str, Any]) -> bool:
-    """Whether a chaos cell-spec dict runs with the circuit breaker on."""
-    return bool(spec["faults"].get("breaker", True))
-
-
-# -- the tiered-storage serving grid ------------------------------------------------
-
-#: Miss-path mechanisms of the tiers sweep's x-axis (the SimpleScalar
-#: taxonomy: victim cache, miss cache, stream buffer, all combined);
-#: ``none`` is the tier-cache-only baseline each mechanism is read
-#: against.
-TIER_MISS_PATHS: tuple[str, ...] = ("none", "victim", "miss", "stream", "combined")
-
-#: Storage-side tier-cache capacities swept, in pages.  The small tier
-#: thrashes, so the miss-path mechanisms decide what survives below it;
-#: the large tier shows how much of their win capacity alone buys.
-TIER_SIZES: tuple[int, ...] = (8, 64)
+    (n_clients,) = _positive_ints("n_clients", [n_clients])
+    return _serving_cells(
+        (
+            (
+                n_clients,
+                prefetcher,
+                {
+                    "faults": {
+                        "transient_rate": rate,
+                        "corrupt_rate": rate / 2.0,
+                        "latency_rate": rate / 2.0,
+                        "seed": int(fault_seed),
+                        "breaker": bool(breaker),
+                    }
+                },
+            )
+            for breaker in breakers
+            for prefetcher in prefetchers
+            for rate in fault_rates
+        ),
+        mode=mode,
+        **serving,
+    )
 
 
 def tiers_matrix(
@@ -744,14 +711,7 @@ def tiers_matrix(
     backend: str = "ram",
     n_clients: int = 4,
     mode: str = "hotspot",
-    stagger: int = 1,
-    n_neurons: int = 40,
-    n_queries: int | None = None,
-    volume: float | None = None,
-    dataset_seed: int = 7,
-    workload_seed: int = 21,
-    fanout: int = 16,
-    defaults: SweepDefaults = SENSITIVITY_DEFAULTS,
+    **serving: Any,
 ) -> list:
     """The tiered-storage grid: tier size x prefetcher x miss-path mechanism.
 
@@ -766,76 +726,29 @@ def tiers_matrix(
     tier size renders as one table.  The tier structures are
     deterministic (LRU over the request order, no randomness), so the
     grid keeps the ``jobs=1``/``jobs=N`` bit-identity contract.
+    ``serving`` as in :func:`clients_matrix`.
     """
-    from repro.sim.runner import (
-        CellSpec,
-        DatasetSpec,
-        IndexSpec,
-        PrefetcherSpec,
-        WorkloadSpec,
-    )
     from repro.storage.tiered import MISS_PATHS
 
-    paths = [str(p) for p in miss_paths]
-    unknown = set(paths) - set(MISS_PATHS)
-    if not paths or unknown:
-        raise ValueError(
-            f"miss_paths must be drawn from {list(MISS_PATHS)}, got {list(miss_paths)!r}"
-        )
+    paths = _drawn_from("miss_paths", miss_paths, MISS_PATHS)
     sizes = [int(s) for s in tier_sizes]
     if not sizes or any(s < 0 for s in sizes):
         raise ValueError(f"tier_sizes must be non-negative ints, got {list(tier_sizes)!r}")
-    n_clients = int(n_clients)
-    if n_clients < 1:
-        raise ValueError(f"n_clients must be positive, got {n_clients}")
-    n_queries = defaults.n_queries if n_queries is None else int(n_queries)
-    volume = defaults.volume if volume is None else float(volume)
-
-    dataset = DatasetSpec("neuron", {"n_neurons": int(n_neurons), "seed": dataset_seed})
-    index = IndexSpec("flat", {"fanout": fanout})
-    cells: list = []
-    for size in sizes:
-        for kind, params in prefetchers:
-            for path in paths:
-                cells.append(
-                    CellSpec(
-                        dataset=dataset,
-                        index=index,
-                        workload=WorkloadSpec(
-                            n_sequences=n_clients,  # one session per client
-                            n_queries=n_queries,
-                            volume=volume,
-                            gap=defaults.gap,
-                            aspect=defaults.aspect,
-                            window_ratio=defaults.window_ratio,
-                        ),
-                        prefetcher=PrefetcherSpec(kind, dict(params)),
-                        seed=workload_seed,
-                        serve={"n_clients": n_clients, "mode": mode, "stagger": int(stagger)},
-                        storage={
-                            "backend": str(backend),
-                            "miss_path": path,
-                            "tier_pages": size,
-                        },
-                    )
-                )
-    return cells
-
-
-# -- the sharded-cache serving grid -------------------------------------------------
-
-#: Shard counts of the shards sweep: the unsharded baseline (a K=1
-#: pass-through wrapper, bit-identical to no sharding) against a small
-#: multi-node layout.
-SHARD_COUNTS: tuple[int, ...] = (1, 4)
-
-#: Partitioning schemes swept: Hilbert range splits (spatially
-#: clustered clients land on few shards) vs hash scatter (uniform but
-#: locality-blind, every batch fans out).
-SHARD_PARTITIONS: tuple[str, ...] = ("hilbert", "hash")
-
-#: Client counts of the shards sweep (hotspot mode, so load skews).
-SHARD_CLIENTS: tuple[int, ...] = (4, 8)
+    (n_clients,) = _positive_ints("n_clients", [n_clients])
+    return _serving_cells(
+        (
+            (
+                n_clients,
+                prefetcher,
+                {"storage": {"backend": str(backend), "miss_path": path, "tier_pages": size}},
+            )
+            for size in sizes
+            for prefetcher in prefetchers
+            for path in paths
+        ),
+        mode=mode,
+        **serving,
+    )
 
 
 def shards_matrix(
@@ -846,14 +759,7 @@ def shards_matrix(
     prefetchers: Sequence[tuple[str, Mapping[str, Any]]] = SERVE_PREFETCHERS,
     rebalance: bool = False,
     mode: str = "hotspot",
-    stagger: int = 1,
-    n_neurons: int = 40,
-    n_queries: int | None = None,
-    volume: float | None = None,
-    dataset_seed: int = 7,
-    workload_seed: int = 21,
-    fanout: int = 16,
-    defaults: SweepDefaults = SENSITIVITY_DEFAULTS,
+    **serving: Any,
 ) -> list:
     """The sharded-cache grid: clients x shard count x partition x policy.
 
@@ -870,89 +776,34 @@ def shards_matrix(
     then shard count) so each partition renders as one table group.
     Routing, eviction and rebalancing are deterministic, so the grid
     keeps the ``jobs=1``/``jobs=N`` bit-identity contract.
+    ``serving`` as in :func:`clients_matrix`.
     """
-    from repro.sim.runner import (
-        CellSpec,
-        DatasetSpec,
-        IndexSpec,
-        PrefetcherSpec,
-        WorkloadSpec,
-    )
     from repro.storage.sharded import PARTITIONS
 
-    parts = [str(p) for p in partitions]
-    unknown = set(parts) - set(PARTITIONS)
-    if not parts or unknown:
-        raise ValueError(
-            f"partitions must be drawn from {list(PARTITIONS)}, got {list(partitions)!r}"
-        )
-    counts = [int(k) for k in shard_counts]
-    if not counts or any(k < 1 for k in counts):
-        raise ValueError(f"shard_counts must be positive ints, got {list(shard_counts)!r}")
-    client_counts = [int(n) for n in clients]
-    if not client_counts or any(n < 1 for n in client_counts):
-        raise ValueError(f"clients must be positive ints, got {list(clients)!r}")
-    n_queries = defaults.n_queries if n_queries is None else int(n_queries)
-    volume = defaults.volume if volume is None else float(volume)
+    parts = _drawn_from("partitions", partitions, PARTITIONS)
+    counts = _positive_ints("shard_counts", shard_counts)
+    client_counts = _positive_ints("clients", clients)
 
-    dataset = DatasetSpec("neuron", {"n_neurons": int(n_neurons), "seed": dataset_seed})
-    index = IndexSpec("flat", {"fanout": fanout})
-    cells: list = []
-    for partition in parts:
-        for n in client_counts:
-            for kind, params in prefetchers:
-                for k in counts:
-                    shards = {"n_shards": k, "partition": partition}
-                    if rebalance and partition == "hilbert":
-                        shards["rebalance"] = True
-                    cells.append(
-                        CellSpec(
-                            dataset=dataset,
-                            index=index,
-                            workload=WorkloadSpec(
-                                n_sequences=n,  # one session per client
-                                n_queries=n_queries,
-                                volume=volume,
-                                gap=defaults.gap,
-                                aspect=defaults.aspect,
-                                window_ratio=defaults.window_ratio,
-                            ),
-                            prefetcher=PrefetcherSpec(kind, dict(params)),
-                            seed=workload_seed,
-                            serve={"n_clients": n, "mode": mode, "stagger": int(stagger)},
-                            shards=shards,
-                        )
-                    )
-    return cells
+    def layout(k: int, partition: str) -> dict[str, Any]:
+        shards: dict[str, Any] = {"n_shards": k, "partition": partition}
+        if rebalance and partition == "hilbert":
+            shards["rebalance"] = True
+        return {"shards": shards}
+
+    return _serving_cells(
+        (
+            (n, prefetcher, layout(k, partition))
+            for partition in parts
+            for n in client_counts
+            for prefetcher in prefetchers
+            for k in counts
+        ),
+        mode=mode,
+        **serving,
+    )
 
 
-def shards_k_of(spec: Mapping[str, Any]) -> int:
-    """The shard-count column a shards cell-spec dict sweeps."""
-    return int(spec["shards"]["n_shards"])
-
-
-def shards_partition_of(spec: Mapping[str, Any]) -> str:
-    """The partitioning scheme a shards cell-spec dict sweeps."""
-    return str(spec["shards"]["partition"])
-
-
-def tiers_path_of(spec: Mapping[str, Any]) -> str:
-    """The miss-path column a tiers cell-spec dict belongs to."""
-    return str(spec["storage"]["miss_path"])
-
-
-def tiers_size_of(spec: Mapping[str, Any]) -> int:
-    """The tier-cache capacity (pages) a tiers cell-spec dict sweeps."""
-    return int(spec["storage"]["tier_pages"])
-
-
-#: Figure number -> (matrix builder, default benches) for the
-#: microbenchmark-grid figures; Figures 13 and 17 keep panel-based APIs.
-FIGURE_MATRICES: dict[int, Any] = {
-    10: fig10_matrix,
-    11: fig11_matrix,
-    12: fig12_matrix,
-}
+# -- cell labels --------------------------------------------------------------------
 
 
 def microbenchmark_of(spec: Mapping[str, Any]) -> str | None:
@@ -996,3 +847,280 @@ def fig13_axis_value(panel: str, spec: Mapping[str, Any]):
         return spec["workload"]["gap"]
     known = ", ".join(sorted(FIG13_PANELS))
     raise ValueError(f"unknown Fig-13 panel {panel!r}; known: {known}")
+
+
+# -- the sweep registry: one entry per ``scout-repro sweep --figure`` grid -----------
+
+
+class Table(NamedTuple):
+    """One table a :class:`Figure` renders for each group of its grid.
+
+    ``title`` maps the group label to the table title and ``value_of``
+    a stored result to the tabulated number.  ``figure_id`` is a
+    ``str.format`` template over the group label naming the paper-shape
+    note printed above the table (``""``: none).
+    """
+
+    title: Callable[[str], str]
+    value_of: Callable[[Any], Any]
+    precision: int = 1
+    figure_id: str = ""
+
+
+def _prefetcher_label(result) -> str:
+    """Table row label for a cell: kind, plus lambda for EWMA variants."""
+    prefetcher = result.spec["prefetcher"]
+    lam = prefetcher["params"].get("lam")
+    if prefetcher["kind"] == "ewma" and lam is not None:
+        return f"ewma-{lam:g}"
+    return prefetcher["kind"]
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One evaluation grid behind ``scout-repro sweep --figure``.
+
+    * ``seed`` -- the workload seed used when ``--seed`` is not given;
+    * ``flags`` -- the grid-specific sweep options (argparse ``dest``
+      names) the grid reads; the CLI rejects every other one;
+    * ``grids(opts)`` -- builds the grid from the parsed sweep options
+      (``opts.seed`` already resolved) as ``(label, cells)`` groups, one
+      table group each; raises ``ValueError`` on values it cannot build;
+    * ``column(label, spec)`` -- the axis value of a cell-spec dict in
+      group ``label``: each table's column, and, through the ``axis``
+      template (``{0}`` the value, ``{1}`` the spec), the cell's
+      ``--list-cells`` label;
+    * ``tables`` -- what to render per group; ``row`` labels the rows.
+    """
+
+    seed: int
+    flags: frozenset[str]
+    grids: Callable[[Any], list[tuple[str, list]]]
+    column: Callable[[str, Mapping[str, Any]], Any]
+    axis: str
+    tables: tuple[Table, ...]
+    row: Callable[[Any], str] = _prefetcher_label
+
+
+def _hit_rate(result) -> float:
+    return 100.0 * result.metrics.cache_hit_rate
+
+
+def _shard_imbalance(result) -> float:
+    # max/mean per-shard request load: 1.0 is perfectly even, K is
+    # "one shard absorbs everything".  K=1 cells report 1.0.
+    requests = result.metrics.shard_requests
+    if not requests or sum(requests) == 0:
+        return 1.0
+    return max(requests) / (sum(requests) / len(requests))
+
+
+def _microbenchmark_figure(number: int, builder, seed: int, hit_id: str, speed_id: str):
+    """A Fig-10/11/12 grid: one group, hit-rate and speedup tables per bench column."""
+
+    def grids(opts):
+        matrix = builder(
+            benches=opts.benches,
+            n_neurons=opts.neurons,
+            n_sequences=opts.sequences,
+            workload_seed=opts.seed,
+        )
+        return [(f"fig{number}", matrix.cells())]
+
+    return Figure(
+        seed=seed,
+        flags=frozenset({"benches", "neurons", "sequences"}),
+        grids=grids,
+        column=lambda _, spec: microbenchmark_of(spec) or "?",
+        axis="bench={0}",
+        tables=(
+            Table(f"Fig {number} sweep -- cache hit rate [%]".format, _hit_rate, 1, hit_id),
+            Table(
+                f"Fig {number} sweep -- speedup vs no prefetching".format,
+                lambda r: r.metrics.speedup,
+                2,
+                speed_id,
+            ),
+        ),
+    )
+
+
+def _fig13_grids(opts) -> list[tuple[str, list]]:
+    groups = []
+    for panel in opts.panels or FIG13_PANELS:
+        axis = _fig13_panel_axis(panel)[: opts.points]
+        if panel == "b" and opts.neurons is not None:
+            # Panel b's axis IS the neuron count; rescale it around the
+            # requested size so --neurons shrinks this panel too instead
+            # of being silently ignored.
+            ratio = opts.neurons / SENSITIVITY_DEFAULTS.n_neurons
+            axis = [max(2, int(round(n * ratio))) for n in axis]
+        matrix = fig13_matrix(
+            panel,
+            n_neurons=opts.neurons,
+            n_sequences=opts.sequences,
+            workload_seed=opts.seed,
+            axis=axis,
+        )
+        groups.append((panel, matrix.cells()))
+    return groups
+
+
+def _fig17_grids(opts) -> list[tuple[str, list]]:
+    datasets = None
+    if opts.datasets is not None:
+        unknown = [kind for kind in opts.datasets if kind not in FIG17_DATASET_PARAMS]
+        if unknown:
+            raise ValueError(
+                f"unknown dataset(s): {', '.join(unknown)} "
+                f"(expected {', '.join(FIG17_DATASET_PARAMS)})"
+            )
+        datasets = {kind: FIG17_DATASET_PARAMS[kind] for kind in opts.datasets}
+    return [
+        (
+            panel,
+            fig17_matrix(
+                panel, datasets=datasets, n_sequences=opts.sequences, workload_seed=opts.seed
+            ),
+        )
+        for panel in opts.panels or FIG17_PANELS
+    ]
+
+
+def _panel_figure(number: int, titles, *, grids, flags, column, axis: str) -> Figure:
+    """A paper figure with one hit-rate table per panel; seeded by its number."""
+
+    def title(panel: str) -> str:
+        return f"Fig {number}{panel} -- {titles[panel][1]} [hit %]"
+
+    return Figure(
+        seed=number,
+        flags=frozenset(flags),
+        grids=grids,
+        column=column,
+        axis=axis,
+        tables=(Table(title, _hit_rate, 1, f"fig{number}{{}}"),),
+    )
+
+
+def _grouped(cells: list, label_of: Callable[[Mapping[str, Any]], str]):
+    """Split a major-axis-ordered cell list into ``(label, cells)`` runs."""
+    return [
+        (label, list(run))
+        for label, run in itertools.groupby(cells, key=lambda cell: label_of(cell.to_dict()))
+    ]
+
+
+def _serving_knobs(opts) -> dict[str, Any]:
+    knobs: dict[str, Any] = {"workload_seed": opts.seed}
+    if opts.neurons is not None:
+        knobs["n_neurons"] = opts.neurons
+    return knobs
+
+
+_SERVING_FLAGS = frozenset({"lockstep", "neurons"})
+
+
+def _hit_table(title: str, figure_id: str) -> Table:
+    """A serving grid's aggregate hit-rate table; ``title`` has a ``{}`` for the group."""
+    return Table(f"{title} -- aggregate hit rate [%]".format, _hit_rate, 1, figure_id)
+
+
+FIGURES: dict[str, Figure] = {
+    "10": _microbenchmark_figure(10, fig10_matrix, 11, "fig10sweep", ""),
+    "11": _microbenchmark_figure(11, fig11_matrix, 11, "fig11a", "fig11b"),
+    "12": _microbenchmark_figure(12, fig12_matrix, 12, "fig12", ""),
+    "13": _panel_figure(
+        13,
+        FIG13_PANELS,
+        grids=_fig13_grids,
+        flags={"panels", "points", "neurons", "sequences"},
+        column=fig13_axis_value,
+        axis="axis={0:g}",
+    ),
+    "17": _panel_figure(
+        17,
+        FIG17_PANELS,
+        grids=_fig17_grids,
+        flags={"panels", "datasets", "sequences"},
+        column=lambda _, spec: spec["dataset"]["kind"],
+        axis="dataset={0}",
+    ),
+    "clients": Figure(
+        seed=21,
+        flags=_SERVING_FLAGS | {"clients", "cache_pages", "contention"},
+        grids=lambda opts: _grouped(
+            clients_matrix(
+                clients=opts.clients or SERVE_CLIENTS,
+                cache_pages=opts.cache_pages or SERVE_CACHE_PAGES,
+                mode=opts.contention,
+                **_serving_knobs(opts),
+            ),
+            serve_cache_label,
+        ),
+        column=lambda _, spec: int(spec["serve"]["n_clients"]),
+        axis="clients={0}",
+        tables=(
+            _hit_table("Serving sweep -- shared cache {}", "clients"),
+            Table(
+                "Serving sweep -- shared cache {} -- per-client hit-rate std [%]".format,
+                lambda r: 100.0 * r.metrics.hit_rate_std,
+            ),
+        ),
+    ),
+    "chaos": Figure(
+        seed=21,
+        flags=_SERVING_FLAGS,
+        grids=lambda opts: _grouped(
+            chaos_matrix(**_serving_knobs(opts)),
+            lambda spec: f"breaker {'on' if spec['faults']['breaker'] else 'off'}",
+        ),
+        column=lambda _, spec: float(spec["faults"]["transient_rate"]),
+        axis="rate={0:g}",
+        tables=(
+            _hit_table("Chaos sweep -- {}", "chaos"),
+            Table(
+                "Chaos sweep -- {} -- degraded queries (demand paging)".format,
+                lambda r: r.metrics.degraded_ticks or 0,
+                0,
+            ),
+        ),
+    ),
+    "tiers": Figure(
+        seed=21,
+        flags=_SERVING_FLAGS,
+        grids=lambda opts: _grouped(
+            tiers_matrix(**_serving_knobs(opts)),
+            lambda spec: f"tier {spec['storage']['tier_pages']} pages",
+        ),
+        column=lambda _, spec: str(spec["storage"]["miss_path"]),
+        axis="miss-path={0}",
+        tables=(
+            _hit_table("Tiers sweep -- {}", "tiers"),
+            Table(
+                "Tiers sweep -- {} -- tier + miss-path hits (absorbed reads)".format,
+                lambda r: (r.metrics.tier_hits or 0) + (r.metrics.miss_path_hits or 0),
+                0,
+            ),
+        ),
+    ),
+    "shards": Figure(
+        seed=21,
+        flags=_SERVING_FLAGS,
+        grids=lambda opts: _grouped(
+            shards_matrix(**_serving_knobs(opts)),
+            lambda spec: f"partition {spec['shards']['partition']}",
+        ),
+        column=lambda _, spec: int(spec["shards"]["n_shards"]),
+        axis="K={0} {1[shards][partition]}",
+        tables=(
+            _hit_table("Shards sweep -- {}", "shards"),
+            Table(
+                "Shards sweep -- {} -- request imbalance (max/mean shard load)".format,
+                _shard_imbalance,
+                2,
+            ),
+        ),
+        row=lambda r: f"{_prefetcher_label(r)} x{r.spec['serve']['n_clients']}",
+    ),
+}

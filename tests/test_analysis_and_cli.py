@@ -1,10 +1,14 @@
 """Reporting tables, sweep definitions and the CLI entry point."""
 
+import os
+
 import pytest
 
 from repro.analysis import ResultTable, format_row, paper_reference, sweep_table
-from repro.cli import main
+from repro.cli import _build_sweep_parser, main
+from repro.sim.serve import LOCKSTEP_ENV
 from repro.workload.sweeps import (
+    FIGURES,
     SENSITIVITY_DEFAULTS,
     fig13_axes,
     fig13_axis_value,
@@ -326,6 +330,11 @@ class TestSweepCli:
             ["sweep", "--figure", "clients", "--cache-pages", "0"],
             ["sweep", "--figure", "clients", "--cache-pages", "many"],
             ["sweep", "--figure", "18"],
+            ["sweep", "--sequences", "0"],
+            ["sweep", "--sequences", "-1"],
+            ["sweep", "--neurons", "0"],
+            ["sweep", "--points", "0"],
+            ["sweep", "--points", "-2"],
         ]
         for args in bad:
             with pytest.raises(SystemExit) as excinfo:
@@ -422,3 +431,73 @@ class TestSweepCli:
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "axis=2" in out and "1 cells" in out
+
+    @pytest.mark.parametrize("previous", [None, "0"])
+    def test_lockstep_sweep_restores_the_environment(self, previous, monkeypatch, tmp_path):
+        if previous is None:
+            monkeypatch.delenv(LOCKSTEP_ENV, raising=False)
+        else:
+            monkeypatch.setenv(LOCKSTEP_ENV, previous)
+        before = dict(os.environ)
+        args = ["sweep", "--figure", "clients", "--clients", "1", "--cache-pages", "32"]
+        args += ["--neurons", "6", "--lockstep", "--out", str(tmp_path / "c.jsonl")]
+        assert main(args) == 0
+        assert dict(os.environ) == before
+
+
+class TestFigureRegistry:
+    """Every ``--figure`` grid comes from one FIGURES entry."""
+
+    #: One valid value per grid-specific sweep flag (None: a switch).
+    FLAG_VALUES = {
+        "panels": "a",
+        "datasets": "roads",
+        "benches": "adhoc_stat",
+        "clients": "1",
+        "cache_pages": "32",
+        "contention": "hotspot",
+        "lockstep": None,
+        "neurons": "6",
+        "sequences": "2",
+        "points": "2",
+    }
+
+    def test_figure_choices_are_the_registry_keys(self):
+        figure = _build_sweep_parser()._option_string_actions["--figure"]
+        assert list(figure.choices) == list(FIGURES)
+
+    def test_every_figure_labels_every_listed_cell(self, capsys, tmp_path):
+        for name, figure in FIGURES.items():
+            tiny = [
+                arg
+                for flag, value in (("neurons", "6"), ("sequences", "2"))
+                if flag in figure.flags
+                for arg in (f"--{flag}", value)
+            ]
+            opts = _build_sweep_parser().parse_args(["--figure", name, *tiny])
+            opts.seed = figure.seed
+            expected = []
+            for label, cells in figure.grids(opts):
+                for cell in cells:
+                    spec = cell.to_dict()
+                    value = figure.column(label, spec)
+                    assert value not in (None, "?"), (name, spec)
+                    axis = figure.axis.format(value, spec)
+                    kind = cell.prefetcher.kind
+                    expected.append(f"{label}  {cell.key()[:12]}  {kind:10s} {axis}")
+            args = ["sweep", "--figure", name, "--list-cells", *tiny]
+            assert main(args + ["--out", str(tmp_path / "s.jsonl")]) == 0, name
+            listed = capsys.readouterr().out.splitlines()
+            assert expected and listed == expected + [f"{len(expected)} cells"], name
+
+    def test_every_figure_rejects_the_flags_it_does_not_accept(self, tmp_path):
+        assert set(self.FLAG_VALUES) == set().union(*(f.flags for f in FIGURES.values()))
+        for name, figure in FIGURES.items():
+            for flag, value in self.FLAG_VALUES.items():
+                if flag in figure.flags:
+                    continue
+                option = ["--" + flag.replace("_", "-")] + ([] if value is None else [value])
+                args = ["sweep", "--figure", name, *option, "--out", str(tmp_path / "s.jsonl")]
+                with pytest.raises(SystemExit) as excinfo:
+                    main(args)
+                assert excinfo.value.code == 2, args

@@ -22,10 +22,10 @@ from repro.workload.sweeps import (
     FIG11_PREFETCHERS,
     FIG12_PREFETCHERS,
     FIG17_DATASET_PARAMS,
+    FIGURES,
     fig10_matrix,
     fig11_matrix,
     fig12_matrix,
-    fig17_dataset_of,
     fig17_matrix,
     fig17_query_volume,
     microbenchmark_of,
@@ -115,7 +115,8 @@ class TestFig17Grid:
         assert {cell.prefetcher.kind for cell in cells} == {
             kind for kind, _ in FIG11_PREFETCHERS
         }
-        assert {fig17_dataset_of(cell.to_dict()) for cell in cells} == set(TINY_FIG17)
+        dataset_of = FIGURES["17"].column
+        assert {dataset_of("a", cell.to_dict()) for cell in cells} == set(TINY_FIG17)
 
     def test_default_grid_names_the_paper_datasets(self):
         assert list(FIG17_DATASET_PARAMS) == ["lung", "arterial", "roads"]

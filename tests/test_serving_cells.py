@@ -19,7 +19,7 @@ from repro.sim.runner import (
     prepare_serving_cell,
     run_serving_cell,
 )
-from repro.workload.sweeps import clients_matrix, serve_cache_label, serve_clients_of
+from repro.workload.sweeps import FIGURES, clients_matrix, serve_cache_label
 
 
 def serving_spec(n_clients=2, serve_extra=(), sim=()):
@@ -150,7 +150,8 @@ class TestClientsMatrix:
         assert len(cells) == 2 * 2 * 2  # cache x prefetcher x clients
         labels = [serve_cache_label(c.to_dict()) for c in cells]
         assert labels == ["auto"] * 4 + ["32 pages"] * 4  # cache-size-major
-        assert [serve_clients_of(c.to_dict()) for c in cells[:2]] == [1, 2]
+        clients_of = FIGURES["clients"].column
+        assert [clients_of("auto", c.to_dict()) for c in cells[:2]] == [1, 2]
 
     def test_cells_are_distinct_and_stable(self):
         cells = clients_matrix(n_neurons=6, n_queries=3)

@@ -4,8 +4,7 @@ The vectorized hot path (packed R-tree levels, batched region probes,
 array-clipped crossings, lockstep gap traversal) must be a pure
 performance change: every observable -- page sets, crossing points and
 directions, simulation metrics -- is required to be *bit-identical* to
-the scalar reference paths kept in ``repro.index.scalar_ref`` and
-``repro.graph.traversal.region_crossings_reference``.
+the scalar reference paths kept in ``repro.perf.baseline``.
 """
 
 from dataclasses import asdict
@@ -16,13 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import ScoutConfig, ScoutOptPrefetcher, ScoutPrefetcher
 from repro.geometry import AABB
-from repro.graph.traversal import (
-    region_crossings,
-    region_crossings_grouped,
+from repro.graph.traversal import region_crossings, region_crossings_grouped
+from repro.index import FlatIndex, GridIndex, STRTree
+from repro.perf.baseline import (
+    ScalarFlatIndex,
+    ScalarSTRTree,
+    pages_for_region_scalar,
     region_crossings_reference,
 )
-from repro.index import FlatIndex, GridIndex, STRTree, ScalarFlatIndex, ScalarSTRTree
-from repro.index.scalar_ref import pages_for_region_scalar
 from repro.datagen.dataset import Dataset, NavEdge, NavigationGraph, Polyline
 from repro.sim import run_experiment
 from repro.workload.sequence import generate_sequences
